@@ -1,11 +1,16 @@
 // Experiment E12b: ParallelExecutor scaling — wall-clock of the full
 // network sort on a large grid as worker threads increase.  Results are
 // bit-identical across thread counts (disjoint phases); only the host
-// time changes.
+// time changes.  Timed in real time: the workers' CPU time is invisible
+// to the main thread's clock.  BM_SortGridThreads uses OracleS2 (the
+// executor splits its view sorts); BM_ShearsortGridThreads runs the
+// executable ShearsortS2, whose tiled schedule the executor splits into
+// contiguous ranges of views.
 
 #include <benchmark/benchmark.h>
 
 #include "core/product_sort.hpp"
+#include "core/s2/shearsort_s2.hpp"
 #include "product/snake_order.hpp"
 
 namespace {
@@ -24,20 +29,31 @@ std::vector<Key> keys_for(const ProductGraph& pg) {
   return keys;
 }
 
-void BM_SortGridThreads(benchmark::State& state) {
+void sort_grid(benchmark::State& state, const S2Sorter* s2) {
   const ProductGraph pg(labeled_path(16), 4);  // 65536 processors
   const auto keys = keys_for(pg);
   const int threads = static_cast<int>(state.range(0));
   ParallelExecutor exec(threads);
+  SortOptions options;
+  options.s2 = s2;
   for (auto _ : state) {
     Machine m(pg, keys, &exec);
-    (void)sort_product_network(m);
+    (void)sort_product_network(m, options);
     benchmark::DoNotOptimize(m.keys().data());
   }
   state.SetItemsProcessed(state.iterations() * pg.num_nodes());
 }
+
+void BM_SortGridThreads(benchmark::State& state) { sort_grid(state, nullptr); }
 BENCHMARK(BM_SortGridThreads)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)->UseRealTime();
+
+void BM_ShearsortGridThreads(benchmark::State& state) {
+  const ShearsortS2 shearsort;
+  sort_grid(state, &shearsort);
+}
+BENCHMARK(BM_ShearsortGridThreads)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
+    ->Unit(benchmark::kMillisecond)->UseRealTime();
 
 void BM_ParallelForOverhead(benchmark::State& state) {
   ParallelExecutor exec(static_cast<int>(state.range(0)));

@@ -54,7 +54,8 @@ void BlockOracleS2::sort_views(BlockMachine& machine,
 namespace {
 
 // Full odd-even transposition over node lines, in lockstep, with
-// merge-split steps (the block analog of lockstep_oet).
+// merge-split steps (the block analog of Machine::run_oet_schedule's
+// per-phase path).
 void lockstep_merge_split(BlockMachine& machine,
                           const std::vector<std::vector<PNode>>& lines,
                           const std::vector<bool>& descending, int hop) {

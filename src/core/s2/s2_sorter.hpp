@@ -19,7 +19,10 @@
 //
 // A sorter operates on *many* disjoint 2-D views at once, in lockstep,
 // because the enclosing algorithm runs them as one parallel phase: the
-// executed step time is that of a single view.
+// executed step time is that of a single view.  The two executable
+// odd-even sorters describe their phases once, in view-local tile
+// coordinates (network/oet_schedule.hpp), and hand that descriptor to
+// Machine::run_oet_schedule, which chooses how to execute it.
 
 #include <memory>
 #include <string>
@@ -42,7 +45,10 @@ class S2Sorter {
 
   /// Sorts every view (each with exactly two free dimensions) into its
   /// local snake order; `descending[i]` flips view i's direction.  Views
-  /// must be disjoint.  Executed in lockstep across views.
+  /// must be disjoint.  Executed in lockstep across views.  The
+  /// executable sorters throw std::invalid_argument when a view does not
+  /// have exactly two free dimensions or `descending` does not hold one
+  /// flag per view.
   virtual void sort_views(Machine& machine, std::span<const ViewSpec> views,
                           const std::vector<bool>& descending) const = 0;
 
@@ -50,13 +56,5 @@ class S2Sorter {
   void sort_view(Machine& machine, const ViewSpec& view,
                  bool descending = false) const;
 };
-
-/// Runs a full odd-even transposition sort over the given node lines in
-/// lockstep: `length` phases, each a single compare-exchange step over
-/// every line's odd or even adjacent positions.  `descending[i]` inverts
-/// line i's order.  `hop` is the factor-graph distance bound between
-/// line-consecutive nodes (the factor's labeling dilation).
-void lockstep_oet(Machine& machine, const std::vector<std::vector<PNode>>& lines,
-                  const std::vector<bool>& descending, int hop);
 
 }  // namespace prodsort

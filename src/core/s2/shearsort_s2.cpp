@@ -1,7 +1,5 @@
 #include "core/s2/shearsort_s2.hpp"
 
-#include <cmath>
-
 namespace prodsort {
 
 namespace {
@@ -22,49 +20,30 @@ double ShearsortS2::phase_cost(const LabeledFactor& factor) const {
 
 void ShearsortS2::sort_views(Machine& machine, std::span<const ViewSpec> views,
                              const std::vector<bool>& descending) const {
-  if (views.empty()) return;
   const ProductGraph& pg = machine.graph();
   const NodeId n = pg.radix();
-  const int hop = pg.factor().dilation;
-
-  // Rows: fixed digit at the high free dimension, consecutive columns.
-  std::vector<std::vector<PNode>> rows;
-  std::vector<bool> row_desc;
-  rows.reserve(views.size() * static_cast<std::size_t>(n));
-  // Columns: fixed digit at the low free dimension.
-  std::vector<std::vector<PNode>> cols;
-  std::vector<bool> col_desc;
-  cols.reserve(views.size() * static_cast<std::size_t>(n));
-
-  for (std::size_t vi = 0; vi < views.size(); ++vi) {
-    const ViewSpec& v = views[vi];
-    const bool flip = descending[vi];
-    for (NodeId fixed = 0; fixed < n; ++fixed) {
-      std::vector<PNode> row(static_cast<std::size_t>(n));
-      std::vector<PNode> col(static_cast<std::size_t>(n));
-      for (NodeId j = 0; j < n; ++j) {
-        row[static_cast<std::size_t>(j)] =
-            v.base + static_cast<PNode>(j) * pg.weight(v.lo) +
-            static_cast<PNode>(fixed) * pg.weight(v.hi);
-        col[static_cast<std::size_t>(j)] =
-            v.base + static_cast<PNode>(fixed) * pg.weight(v.lo) +
-            static_cast<PNode>(j) * pg.weight(v.hi);
-      }
-      rows.push_back(std::move(row));
-      // Snake: even rows ascend, odd rows descend; a descending view
-      // inverts everything.
-      row_desc.push_back(((fixed % 2) != 0) != flip);
-      cols.push_back(std::move(col));
-      col_desc.push_back(flip);
+  OETSchedule schedule;
+  // Row f holds tile offsets j + f*N (fixed digit at the high free
+  // dimension); column f holds f + j*N.  Snake: even rows ascend, odd
+  // rows descend; columns ascend.
+  OETLines rows;
+  OETLines cols;
+  rows.length = cols.length = n;
+  for (NodeId fixed = 0; fixed < n; ++fixed) {
+    for (NodeId j = 0; j < n; ++j) {
+      rows.offsets.push_back(j + fixed * n);
+      cols.offsets.push_back(fixed + j * n);
     }
+    rows.flipped.push_back(fixed % 2 != 0);
+    cols.flipped.push_back(0);
   }
+  schedule.families = {std::move(rows), std::move(cols)};
 
-  const int iterations = ceil_log2(n) + 1;
-  for (int it = 0; it < iterations; ++it) {
-    lockstep_oet(machine, rows, row_desc, hop);
-    lockstep_oet(machine, cols, col_desc, hop);
-  }
-  lockstep_oet(machine, rows, row_desc, hop);
+  // ceil(log2 N) + 1 rounds of {rows, columns}, then a final row pass.
+  for (int it = 0; it <= ceil_log2(n); ++it)
+    schedule.passes.insert(schedule.passes.end(), {0, 1});
+  schedule.passes.push_back(0);
+  machine.run_oet_schedule(schedule, views, descending);
 }
 
 }  // namespace prodsort

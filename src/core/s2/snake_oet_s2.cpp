@@ -1,28 +1,27 @@
 #include "core/s2/snake_oet_s2.hpp"
 
-#include "product/snake_order.hpp"
+#include "product/gray_code.hpp"
 
 namespace prodsort {
 
 void SnakeOETS2::sort_views(Machine& machine, std::span<const ViewSpec> views,
                             const std::vector<bool>& descending) const {
-  if (views.empty()) return;
   const ProductGraph& pg = machine.graph();
+  const NodeId n = pg.radix();
   // Consecutive snake ranks differ in one digit by +-1 (the Gray-code
   // property), so partners are at most `dilation` hops apart.
-  const int hop = pg.factor().dilation;
-
-  std::vector<std::vector<PNode>> lines;
-  lines.reserve(views.size());
-  for (const ViewSpec& v : views) {
-    const PNode size = view_size(pg, v);
-    std::vector<PNode> line(static_cast<std::size_t>(size));
-    for (PNode rank = 0; rank < size; ++rank)
-      line[static_cast<std::size_t>(rank)] =
-          view_node_at_snake_rank(pg, v, rank);
-    lines.push_back(std::move(line));
+  OETSchedule schedule;
+  OETLines snake;
+  snake.length = n * n;
+  NodeId digits[2];
+  for (PNode rank = 0; rank < PNode{n} * n; ++rank) {
+    gray_tuple(n, rank, digits);
+    snake.offsets.push_back(digits[0] + digits[1] * n);
   }
-  lockstep_oet(machine, lines, descending, hop);
+  snake.flipped.push_back(0);
+  schedule.families.push_back(std::move(snake));
+  schedule.passes.push_back(0);
+  machine.run_oet_schedule(schedule, views, descending);
 }
 
 }  // namespace prodsort

@@ -1,6 +1,7 @@
 #include "network/machine.hpp"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <stdexcept>
 
@@ -98,6 +99,184 @@ void Machine::compare_exchange_step(std::span<const CEPair> pairs,
   cost_.exchanges += swaps.load(std::memory_order_relaxed);
 
   if (observer_ != nullptr) observer_->after_phase(keys_);
+}
+
+namespace {
+
+// Pairs in a phase of `parity` on a line of `length` positions.
+std::int64_t line_pairs(int length, int parity) {
+  return (length - parity) / 2;
+}
+
+// A full odd-even transposition pass over one line held in `v`:
+// `length` phases, phase p ordering (v[i], v[i+1]) for i = p % 2,
+// p % 2 + 2, ...  Returns the swaps made.  Branch-free: the swap is a
+// masked XOR (gcc turns std::min/std::max here into a data-dependent
+// branch, which mispredicts on unsorted keys).  Once an even and an odd
+// phase in a row swap nothing the line is sorted, and the remaining
+// phases could not swap either, so they are skipped.
+std::int64_t oet_line(Key* v, int length) {
+  std::int64_t swaps = 0;
+  int quiet = 0;  // consecutive phases without a swap
+  for (int phase = 0; phase < length && quiet < 2; ++phase) {
+    std::int64_t phase_swaps = 0;
+    for (int i = phase & 1; i + 1 < length; i += 2) {
+      const Key a = v[i];
+      const Key b = v[i + 1];
+      const Key greater = a > b;
+      const Key flip = (a ^ b) & -greater;
+      phase_swaps += greater;
+      v[i] = a ^ flip;
+      v[i + 1] = b ^ flip;
+    }
+    swaps += phase_swaps;
+    quiet = phase_swaps == 0 ? quiet + 1 : 0;
+  }
+  return swaps;
+}
+
+}  // namespace
+
+void Machine::run_oet_schedule(const OETSchedule& schedule,
+                               std::span<const ViewSpec> views,
+                               const std::vector<bool>& descending) {
+  if (descending.size() != views.size())
+    throw std::invalid_argument(
+        "S2 schedule: one descending flag per view required");
+  const PNode tile = PNode{pg_->radix()} * pg_->radix();
+  for (const ViewSpec& v : views)
+    if (v.dims() != 2 || v.lo < 1 || v.hi > pg_->dims() || v.base < 0 ||
+        v.base >= pg_->num_nodes() || view_local(*pg_, v, v.base) != 0)
+      throw std::invalid_argument(
+          "S2 schedule: every view needs exactly two free dimensions "
+          "of the product");
+  for (const OETLines& family : schedule.families) {
+    if (family.length < 0 ||
+        family.offsets.size() !=
+            family.lines() * static_cast<std::size_t>(family.length))
+      throw std::invalid_argument("S2 schedule: ragged line family");
+    for (const std::int32_t offset : family.offsets)
+      if (offset < 0 || offset >= tile)
+        throw std::invalid_argument("S2 schedule: offset outside the tile");
+  }
+  for (const int pass : schedule.passes)
+    if (pass < 0 || static_cast<std::size_t>(pass) >= schedule.families.size())
+      throw std::invalid_argument("S2 schedule: pass names no line family");
+  if (views.empty()) return;
+  if (plain())
+    run_oet_tiled(schedule, views, descending);
+  else
+    run_oet_phases(schedule, views, descending);
+}
+
+void Machine::run_oet_tiled(const OETSchedule& schedule,
+                            std::span<const ViewSpec> views,
+                            const std::vector<bool>& descending) {
+  const auto tile = static_cast<std::size_t>(pg_->radix()) *
+                    static_cast<std::size_t>(pg_->radix());
+  int longest = 0;
+  for (const OETLines& family : schedule.families)
+    longest = std::max(longest, family.length);
+
+  // Views are disjoint, so each one runs its whole schedule on its own
+  // tile; the swap total is a sum, identical for any split of the views.
+  std::atomic<std::int64_t> swaps{0};
+  auto body = [&](std::int64_t begin, std::int64_t end) {
+    std::vector<Key> buffer(tile);
+    std::vector<Key> line(static_cast<std::size_t>(longest));
+    std::int64_t local_swaps = 0;
+    for (std::int64_t vi = begin; vi < end; ++vi) {
+      const ViewSpec& v = views[static_cast<std::size_t>(vi)];
+      const PNode stride = pg_->weight(v.lo);
+      Key* const keys = keys_.data() + v.base;
+      for (std::size_t o = 0; o < tile; ++o)
+        buffer[o] = keys[static_cast<PNode>(o) * stride];
+      const bool flip = descending[static_cast<std::size_t>(vi)];
+      for (const int pass : schedule.passes) {
+        const OETLines& family =
+            schedule.families[static_cast<std::size_t>(pass)];
+        const auto length = static_cast<std::size_t>(family.length);
+        for (std::size_t l = 0; l < family.lines(); ++l) {
+          // Complementing reverses the key order, so a descending line
+          // runs through the ascending kernel and swaps exactly where
+          // its inverted pairs would.
+          const Key mask =
+              ((family.flipped[l] != 0) != flip) ? ~Key{0} : Key{0};
+          const std::int32_t* offsets = family.offsets.data() + l * length;
+          for (std::size_t j = 0; j < length; ++j)
+            line[j] = buffer[static_cast<std::size_t>(offsets[j])] ^ mask;
+          local_swaps += oet_line(line.data(), family.length);
+          for (std::size_t j = 0; j < length; ++j)
+            buffer[static_cast<std::size_t>(offsets[j])] = line[j] ^ mask;
+        }
+      }
+      for (std::size_t o = 0; o < tile; ++o)
+        keys[static_cast<PNode>(o) * stride] = buffer[o];
+    }
+    swaps.fetch_add(local_swaps, std::memory_order_relaxed);
+  };
+  const auto count = static_cast<std::int64_t>(views.size());
+  if (executor_ != nullptr)
+    executor_->parallel_for(count, body);
+  else
+    body(0, count);
+
+  // The per-phase path's charges: the dilation per phase, one comparison
+  // per pair, one exchange per swap.
+  std::int64_t phases = 0;
+  std::int64_t pairs_per_view = 0;
+  for (const int pass : schedule.passes) {
+    const OETLines& family = schedule.families[static_cast<std::size_t>(pass)];
+    const int length = family.length;
+    phases += length;
+    pairs_per_view += static_cast<std::int64_t>(family.lines()) *
+                      ((length + 1) / 2 * line_pairs(length, 0) +
+                       length / 2 * line_pairs(length, 1));
+  }
+  cost_.exec_steps +=
+      static_cast<std::int64_t>(pg_->factor().dilation) * phases;
+  cost_.comparisons += count * pairs_per_view;
+  cost_.exchanges += swaps.load(std::memory_order_relaxed);
+}
+
+void Machine::run_oet_phases(const OETSchedule& schedule,
+                             std::span<const ViewSpec> views,
+                             const std::vector<bool>& descending) {
+  // A pass issues only two distinct pair lists, one per phase parity;
+  // build both lists of each family once, in the order fault decisions
+  // and schedule hashes key on: view by view, line by line, position by
+  // position.
+  std::vector<std::array<std::vector<CEPair>, 2>> pairs(
+      schedule.families.size());
+  for (std::size_t f = 0; f < schedule.families.size(); ++f) {
+    const OETLines& family = schedule.families[f];
+    const auto length = static_cast<std::size_t>(family.length);
+    for (int parity = 0; parity < 2; ++parity) {
+      std::vector<CEPair>& list = pairs[f][static_cast<std::size_t>(parity)];
+      list.reserve(views.size() * family.lines() *
+                   static_cast<std::size_t>(line_pairs(family.length, parity)));
+      for (std::size_t vi = 0; vi < views.size(); ++vi) {
+        const ViewSpec& v = views[vi];
+        const PNode stride = pg_->weight(v.lo);
+        for (std::size_t l = 0; l < family.lines(); ++l) {
+          const bool desc = (family.flipped[l] != 0) != descending[vi];
+          const std::int32_t* offsets = family.offsets.data() + l * length;
+          for (auto i = static_cast<std::size_t>(parity); i + 1 < length;
+               i += 2) {
+            const PNode a = v.base + offsets[i] * stride;
+            const PNode b = v.base + offsets[i + 1] * stride;
+            list.push_back(desc ? CEPair{b, a} : CEPair{a, b});
+          }
+        }
+      }
+    }
+  }
+  for (const int pass : schedule.passes) {
+    const auto f = static_cast<std::size_t>(pass);
+    for (int phase = 0; phase < schedule.families[f].length; ++phase)
+      compare_exchange_step(pairs[f][static_cast<std::size_t>(phase % 2)],
+                            pg_->factor().dilation);
+  }
 }
 
 bool Machine::fire_crashes(std::span<const CEPair> pairs, std::int64_t step) {

@@ -11,6 +11,8 @@
 // Time accounting is described in cost_model.hpp.  Phases are applied in
 // parallel by an optional ParallelExecutor; because pairs within a phase
 // are disjoint, results are deterministic for any thread count.
+// Executable S2 sorts hand the machine one view-local schedule
+// (run_oet_schedule).
 
 #include <span>
 #include <vector>
@@ -18,6 +20,7 @@
 #include "core/multiway_merge.hpp"  // Key
 #include "network/cost_model.hpp"
 #include "network/fault_model.hpp"
+#include "network/oet_schedule.hpp"
 #include "network/parallel_executor.hpp"
 #include "network/phase_observer.hpp"  // CEPair, PhaseObserver
 #include "product/subgraph_view.hpp"
@@ -47,6 +50,32 @@ class Machine {
   /// largest factor-graph distance between partners (exec time charge).
   void compare_exchange_step(std::span<const CEPair> pairs, int hop_distance = 1);
 
+  /// Runs `schedule` (network/oet_schedule.hpp) in every view, in
+  /// lockstep; `descending[i]` inverts view i.  Each view must have
+  /// exactly two free dimensions and `descending` one flag per view
+  /// (std::invalid_argument otherwise); views must be disjoint (checked
+  /// only by the per-phase path's disjointness sweep).  Every phase is
+  /// charged as compare_exchange_step would charge it — the factor's
+  /// dilation in exec steps, one comparison per pair, one exchange per
+  /// swap — whichever way it runs:
+  ///  * a plain machine (no observer, fault model or TMR, and no
+  ///    disjointness sweep left to run) runs it tile by tile: it gathers
+  ///    each view's N^2 keys into a buffer, runs all passes there with a
+  ///    branch-free min/max kernel, and scatters them back; an executor
+  ///    splits the views into contiguous ranges.  A line whose last even
+  ///    and odd phases swapped nothing is sorted, so the rest of its pass
+  ///    is skipped (and still charged);
+  ///  * any other machine expands the schedule into the per-phase pair
+  ///    lists — view by view, line by line, position by position — and
+  ///    issues one compare_exchange_step per phase, so observers (the
+  ///    StepAuditor, the schedule recorder, checkpoints), fault
+  ///    decisions and TMR voting see every phase as they would without
+  ///    the schedule.  There is no option for the choice; it is read
+  ///    from the machine's own state.
+  void run_oet_schedule(const OETSchedule& schedule,
+                        std::span<const ViewSpec> views,
+                        const std::vector<bool>& descending);
+
   /// Per-step disjointness validation: O(pairs) extra work and one
   /// zeroed byte per processor, roughly doubling the per-phase overhead
   /// of small steps.  On by default in Debug builds (NDEBUG undefined);
@@ -73,7 +102,8 @@ class Machine {
 
   /// Attaches a phase observer (borrowed; must outlive the machine, pass
   /// nullptr to detach).  While attached it is invoked around every
-  /// compare-exchange step and supersedes `set_check_disjoint`.
+  /// compare-exchange step and supersedes `set_check_disjoint` (see
+  /// run_oet_schedule for its effect on S2 schedules).
   void set_observer(PhaseObserver* observer) noexcept { observer_ = observer; }
   [[nodiscard]] PhaseObserver* observer() const noexcept { return observer_; }
 
@@ -143,6 +173,17 @@ class Machine {
                                     int hop_distance, std::int64_t step);
   void tmr_compare_exchange_step(std::span<const CEPair> pairs,
                                  int hop_distance, std::int64_t step);
+  /// Selects run_oet_schedule's tiled path (see there).
+  [[nodiscard]] bool plain() const noexcept {
+    return observer_ == nullptr && faults_ == nullptr && !tmr_ &&
+           (!check_disjoint_ || statically_audited_);
+  }
+  void run_oet_tiled(const OETSchedule& schedule,
+                     std::span<const ViewSpec> views,
+                     const std::vector<bool>& descending);
+  void run_oet_phases(const OETSchedule& schedule,
+                      std::span<const ViewSpec> views,
+                      const std::vector<bool>& descending);
   /// Fires due crash events for `step`; returns true when the phase must
   /// be re-executed (partner recovery), throws CrashInterrupt when the
   /// lost key has no live copy.

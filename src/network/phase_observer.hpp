@@ -7,6 +7,8 @@
 // implements this interface to verify the Section-4 phase disciplines
 // the paper's cost claims rest on; the network layer itself stays free
 // of any analysis dependency.
+// Attaching an observer also changes how Machine runs S2 schedules; see
+// Machine::run_oet_schedule.
 
 #include <span>
 

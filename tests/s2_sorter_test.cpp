@@ -128,6 +128,27 @@ TEST(S2SorterTest, SnakeOetCostGrowsQuadratically) {
   EXPECT_EQ(m.cost().exec_steps, 25);
 }
 
+TEST(S2SorterTest, ExecutableSortersEnforceTheViewContract) {
+  // sort_views requires views with exactly two free dimensions and one
+  // direction flag per view; the executable sorters used to sort one 2-D
+  // slice of a 3-D view and read past a short `descending`.
+  const ProductGraph pg(labeled_path(3), 3);
+  const ShearsortS2 shear;
+  const SnakeOETS2 oet;
+  for (const S2Sorter* sorter : {static_cast<const S2Sorter*>(&shear),
+                                 static_cast<const S2Sorter*>(&oet)}) {
+    Machine m(pg, random_keys(pg.num_nodes(), 12));
+    EXPECT_THROW(sorter->sort_view(m, full_view(pg)), std::invalid_argument)
+        << sorter->name();
+    const auto views = all_views(pg, 1, 2);
+    EXPECT_THROW(sorter->sort_views(m, views, std::vector<bool>(1, false)),
+                 std::invalid_argument)
+        << sorter->name();
+    // Nothing ran before the contract was checked.
+    EXPECT_EQ(m.cost().comparisons, 0) << sorter->name();
+  }
+}
+
 TEST(S2SorterTest, ZeroOnePrincipleOnTheExecutableSorters) {
   // Shearsort and snake-OET are oblivious: exhaust all 2^9 0-1 inputs on
   // the 3x3 product.
