@@ -31,6 +31,7 @@ int main() {
                "columnsort ms", "batcher ms", "shearsort ms", "samplesort ms",
                "std::sort ms", "all agree"});
   ParallelExecutor exec(4);
+  bool all_agree = true;
   struct Shape {
     NodeId n;
     int r;
@@ -82,6 +83,7 @@ int main() {
     const bool agree = mw == expected && mwf == expected && mwp == expected &&
                        cs == expected && bt == expected && sh_seq == expected &&
                        ss == expected;
+    all_agree = all_agree && agree;
     table.add_row({fmt(total), fmt(s.n), fmt(s.r), bench::fmt(mw_ms),
                    bench::fmt(mwf_ms), bench::fmt(mwp_ms), bench::fmt(cs_ms),
                    bench::fmt(bt_ms), bench::fmt(sh_ms), bench::fmt(ss_ms),
@@ -110,6 +112,11 @@ int main() {
     std::printf("  -> the merge scheme's only full sorts touch N^2 = 16 keys"
                 " at a time;\n     Columnsort repeatedly sorts whole"
                 " 512-key columns (the paper's Section 1 argument).\n");
+  }
+  if (!all_agree) {
+    std::printf("\nFAIL: a sort's output disagrees with std::sort"
+                " (row marked NO)\n");
+    return 1;
   }
   return 0;
 }

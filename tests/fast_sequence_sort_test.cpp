@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <bit>
+#include <limits>
 #include <numeric>
 #include <random>
 
@@ -79,6 +82,55 @@ TEST(FastSequenceSortTest, ZeroOneSweep) {
     std::sort(expected.begin(), expected.end());
     multiway_merge_sort_fast(keys, 2);
     ASSERT_EQ(keys, expected);
+  }
+}
+
+TEST(FastSequenceSortTest, ExhaustiveZeroOneAtRadixTwo) {
+  // Every 0-1 input of 2^4 keys: by the 0-1 principle this proves the
+  // N = 2, r = 4 schedule (merge levels 3 and 4) sorts every input.
+  constexpr int kKeys = 16;
+  for (std::uint32_t bits = 0; bits < (1u << kKeys); ++bits) {
+    std::vector<Key> keys(kKeys);
+    for (int i = 0; i < kKeys; ++i)
+      keys[static_cast<std::size_t>(i)] = (bits >> i) & 1u;
+    multiway_merge_sort_fast(keys, 2);
+    const auto ones = static_cast<std::ptrdiff_t>(std::popcount(bits));
+    ASSERT_TRUE(std::is_sorted(keys.begin(), keys.end())) << bits;
+    ASSERT_EQ(std::count(keys.begin(), keys.end(), Key{1}), ones) << bits;
+  }
+}
+
+TEST(FastSequenceSortTest, SortAnyKeepsExtremeKeysAtThePadBoundary) {
+  // N^(r-1) + 1 or + 2 keys pad to N^r: the last real keys open a group
+  // that is otherwise all sentinel.  That group must still be merged
+  // (the pad skip is by position, not by value), with real Key-max keys
+  // indistinguishable from the pad and Key-min keys that have to travel
+  // to the front.
+  constexpr Key kMax = std::numeric_limits<Key>::max();
+  constexpr Key kMin = std::numeric_limits<Key>::min();
+  ParallelExecutor exec(4);
+  std::mt19937_64 rng(61);
+  for (const NodeId n : {2, 3, 4, 5, 8}) {
+    for (const std::size_t extra : {1, 2}) {
+      const std::size_t size = static_cast<std::size_t>(pow_int(n, 3)) + extra;
+      for (const Key last : {kMax, kMin}) {
+        std::vector<Key> keys(size);
+        for (Key& k : keys) k = static_cast<Key>(rng() % 1000);
+        keys[0] = kMax;
+        keys[size - 2] = last == kMax ? kMin : kMax;
+        keys[size - 1] = last;
+        std::vector<Key> expected = keys;
+        std::sort(expected.begin(), expected.end());
+        for (ParallelExecutor* executor :
+             std::array<ParallelExecutor*, 2>{nullptr, &exec}) {
+          std::vector<Key> sorted = keys;
+          multiway_sort_any(sorted, n, executor);
+          ASSERT_EQ(sorted, expected)
+              << "n=" << n << " size=" << size << " last=" << last
+              << " threads=" << (executor != nullptr ? 4 : 1);
+        }
+      }
+    }
   }
 }
 
