@@ -22,14 +22,16 @@ void BlockOracleS2::sort_views(BlockMachine& machine,
       const PNode size = view_size(pg, v);
       buffer.clear();
       buffer.reserve(static_cast<std::size_t>(size) * b);
-      for (PNode rank = 0; rank < size; ++rank) {
-        const auto blk = machine.block(view_node_at_snake_rank(pg, v, rank));
+      SnakeWalker gather(pg, v);
+      for (PNode rank = 0; rank < size; ++rank, gather.next()) {
+        const auto blk = machine.block(gather.node());
         buffer.insert(buffer.end(), blk.begin(), blk.end());
       }
       std::sort(buffer.begin(), buffer.end());
       // Scatter back: rank j gets run j ascending, or run size-1-j for a
       // descending view (runs themselves stay ascending).
-      for (PNode rank = 0; rank < size; ++rank) {
+      SnakeWalker scatter(pg, v);
+      for (PNode rank = 0; rank < size; ++rank, scatter.next()) {
         const PNode run = descending[static_cast<std::size_t>(i)]
                               ? size - 1 - rank
                               : rank;
@@ -37,7 +39,7 @@ void BlockOracleS2::sort_views(BlockMachine& machine,
         // AUDITOR-EXEMPT(oracle): modeled sorter, not a simulated data
         // path — the phase's cost is charged analytically below, so this
         // scatter legitimately bypasses merge_split_step.
-        auto dst = machine.mutable_block(view_node_at_snake_rank(pg, v, rank));
+        auto dst = machine.mutable_block(scatter.node());
         std::copy(src, src + b, dst.begin());
       }
     }
@@ -92,9 +94,11 @@ void BlockSnakeOETS2::sort_views(BlockMachine& machine,
   for (const ViewSpec& v : views) {
     const PNode size = view_size(pg, v);
     std::vector<PNode> line(static_cast<std::size_t>(size));
-    for (PNode rank = 0; rank < size; ++rank)
-      line[static_cast<std::size_t>(rank)] =
-          view_node_at_snake_rank(pg, v, rank);
+    SnakeWalker walk(pg, v);
+    for (PNode& node : line) {
+      node = walk.node();
+      walk.next();
+    }
     lines.push_back(std::move(line));
   }
   lockstep_merge_split(machine, lines, descending, hop);

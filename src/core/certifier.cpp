@@ -411,11 +411,16 @@ BlockRepairReport block_certify_and_repair(BlockMachine& machine,
     // block is local work the node can always do — charge one local
     // phase (b steps, b comparisons per key touched) when needed.
     bool resorted = false;
-    for (PNode rank = blo; rank <= bhi; ++rank) {
+    std::vector<PNode> window;
+    window.reserve(static_cast<std::size_t>(bhi - blo + 1));
+    SnakeWalker walk(pg, view, blo);
+    for (PNode rank = blo; rank <= bhi; ++rank, walk.next())
+      window.push_back(walk.node());
+    for (const PNode node : window) {
       // AUDITOR-EXEMPT(local block re-sort: node-internal repair work,
       // no inter-node exchange for the phase auditor to discipline;
       // charged explicitly below)
-      auto blk = machine.mutable_block(view_node_at_snake_rank(pg, view, rank));
+      auto blk = machine.mutable_block(node);
       if (!std::is_sorted(blk.begin(), blk.end())) {
         std::sort(blk.begin(), blk.end());
         machine.cost().comparisons += b;
@@ -431,8 +436,8 @@ BlockRepairReport block_certify_and_repair(BlockMachine& machine,
     std::vector<CEPair> pairs;
     const PNode start = blo + (((blo & 1) == parity) ? 0 : 1);
     for (PNode rank = start; rank + 1 <= bhi; rank += 2)
-      pairs.push_back({view_node_at_snake_rank(pg, view, rank),
-                       view_node_at_snake_rank(pg, view, rank + 1)});
+      pairs.push_back({window[static_cast<std::size_t>(rank - blo)],
+                       window[static_cast<std::size_t>(rank - blo + 1)]});
     if (!pairs.empty()) machine.merge_split_step(pairs, hop);
     parity ^= 1;
     ++report.passes;

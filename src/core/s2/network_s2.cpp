@@ -63,9 +63,11 @@ void NetworkS2::sort_views(Machine& machine, std::span<const ViewSpec> views,
   for (std::size_t vi = 0; vi < views.size(); ++vi) {
     auto& line = nodes[vi];
     line.resize(static_cast<std::size_t>(network_.width()));
-    for (PNode rank = 0; rank < static_cast<PNode>(line.size()); ++rank)
-      line[static_cast<std::size_t>(rank)] =
-          view_node_at_snake_rank(pg, views[vi], rank);
+    SnakeWalker walk(pg, views[vi]);
+    for (PNode& node : line) {
+      node = walk.node();
+      walk.next();
+    }
   }
 
   std::vector<CEPair> pairs;

@@ -17,9 +17,11 @@ void OracleS2::sort_views(Machine& machine, std::span<const ViewSpec> views,
       const ViewSpec& v = views[static_cast<std::size_t>(i)];
       const PNode size = view_size(pg, v);
       buffer.resize(static_cast<std::size_t>(size));
-      for (PNode rank = 0; rank < size; ++rank)
-        buffer[static_cast<std::size_t>(rank)] =
-            machine.key(view_node_at_snake_rank(pg, v, rank));
+      SnakeWalker gather(pg, v);
+      for (Key& k : buffer) {
+        k = machine.key(gather.node());
+        gather.next();
+      }
       if (descending[static_cast<std::size_t>(i)])
         std::sort(buffer.begin(), buffer.end(), std::greater<Key>{});
       else
@@ -27,10 +29,11 @@ void OracleS2::sort_views(Machine& machine, std::span<const ViewSpec> views,
       // AUDITOR-EXEMPT(oracle): modeled sorter, not a simulated data
       // path — the analytic exec-steps proxy below is the charge, so
       // this scatter legitimately bypasses compare_exchange_step.
-      for (PNode rank = 0; rank < size; ++rank)
-        machine.mutable_keys()[static_cast<std::size_t>(
-            view_node_at_snake_rank(pg, v, rank))] =
-            buffer[static_cast<std::size_t>(rank)];
+      SnakeWalker scatter(pg, v);
+      for (const Key k : buffer) {
+        machine.mutable_keys()[static_cast<std::size_t>(scatter.node())] = k;
+        scatter.next();
+      }
     }
   };
   if (machine.executor() != nullptr)

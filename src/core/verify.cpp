@@ -20,9 +20,15 @@ std::int64_t oet_window_pass(Machine& machine, const ViewSpec& view, PNode lo,
   // every other alternating pass into a no-op and breaking the
   // width-passes-to-clean bound certify_and_repair budgets against.
   const PNode start = lo + (static_cast<int>(lo & 1) == parity ? 0 : 1);
-  for (PNode rank = start; rank + 1 <= hi; rank += 2)
-    pairs.push_back({view_node_at_snake_rank(pg, view, rank),
-                     view_node_at_snake_rank(pg, view, rank + 1)});
+  if (start + 1 <= hi) {
+    SnakeWalker walk(pg, view, start);
+    for (PNode rank = start; rank + 1 <= hi; rank += 2) {
+      const PNode low = walk.node();
+      walk.next();
+      pairs.push_back({low, walk.node()});
+      walk.next();
+    }
+  }
   const std::int64_t before = machine.cost().exchanges;
   machine.compare_exchange_step(pairs, pg.factor().dilation);
   return machine.cost().exchanges - before;

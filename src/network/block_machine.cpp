@@ -171,8 +171,9 @@ std::vector<Key> BlockMachine::read_snake(const ViewSpec& view) const {
   const PNode size = view_size(*pg_, view);
   std::vector<Key> out;
   out.reserve(static_cast<std::size_t>(size) * block_size_);
-  for (PNode rank = 0; rank < size; ++rank) {
-    const auto blk = block(view_node_at_snake_rank(*pg_, view, rank));
+  SnakeWalker walk(*pg_, view);
+  for (PNode rank = 0; rank < size; ++rank, walk.next()) {
+    const auto blk = block(walk.node());
     out.insert(out.end(), blk.begin(), blk.end());
   }
   return out;
@@ -181,8 +182,9 @@ std::vector<Key> BlockMachine::read_snake(const ViewSpec& view) const {
 bool BlockMachine::snake_sorted(const ViewSpec& view, bool descending) const {
   const PNode size = view_size(*pg_, view);
   std::span<const Key> prev;
-  for (PNode rank = 0; rank < size; ++rank) {
-    const auto blk = block(view_node_at_snake_rank(*pg_, view, rank));
+  SnakeWalker walk(*pg_, view);
+  for (PNode rank = 0; rank < size; ++rank, walk.next()) {
+    const auto blk = block(walk.node());
     if (!std::is_sorted(blk.begin(), blk.end())) return false;
     if (rank > 0) {
       // Ascending: previous block's max <= this block's min; descending:

@@ -26,6 +26,17 @@
 //
 // Checkpoints are never taken while any node is dead — a snapshot must
 // describe a full-topology state or rollback could not resume on it.
+//
+// With no observer chained behind it the manager only counts phases
+// (PhaseObserver::counts_phases_only), so a machine with no fault model
+// still runs its S2 schedules tile by tile (Machine::run_oet_schedule)
+// and reports each call's phases at once.  The manager then takes
+// exactly the snapshots the per-phase path would take, so checkpoints,
+// checkpoint_steps, exec_steps and generation() are identical; a
+// snapshot that falls inside such a call holds the keys after the call
+// instead of the keys at its phase boundary.  Nothing can tell: only a
+// crash leads to restore(), crashes need a fault model, and a machine
+// with a fault model runs every phase through the per-phase path.
 
 #include <cstdint>
 #include <span>
@@ -78,6 +89,15 @@ class CheckpointManager final : public PhaseObserver {
   void before_phase(std::span<const Key> keys, std::span<const CEPair> pairs,
                     int hop_distance, int block_size, bool faulty) override;
   void after_phase(std::span<const Key> keys) override;
+  /// Counting is all the manager itself does between snapshots; an
+  /// observer chained behind it may read keys, so it turns this off.
+  [[nodiscard]] bool counts_phases_only() const override {
+    return next_ == nullptr;
+  }
+  /// Advances the phase counter by `phases` and charges every snapshot
+  /// the per-phase path would have taken in them; the stored snapshot is
+  /// `keys`, the state after the last phase.
+  void after_phases(std::span<const Key> keys, std::int64_t phases) override;
 
   [[nodiscard]] bool has_checkpoint() const noexcept {
     return generation_ > 0;
@@ -118,7 +138,9 @@ class CheckpointManager final : public PhaseObserver {
   RestoreResult restore();
 
  private:
-  void take_snapshot(std::span<const Key> keys);
+  /// Stores `keys` as the current snapshot and charges `count`
+  /// snapshots (count > 1 only for after_phases).
+  void take_snapshot(std::span<const Key> keys, std::int64_t count = 1);
   [[nodiscard]] bool entry_valid(PNode node) const;
 
   CheckpointConfig config_;

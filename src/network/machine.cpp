@@ -237,6 +237,7 @@ void Machine::run_oet_tiled(const OETSchedule& schedule,
       static_cast<std::int64_t>(pg_->factor().dilation) * phases;
   cost_.comparisons += count * pairs_per_view;
   cost_.exchanges += swaps.load(std::memory_order_relaxed);
+  if (observer_ != nullptr) observer_->after_phases(keys_, phases);
 }
 
 void Machine::run_oet_phases(const OETSchedule& schedule,
@@ -422,13 +423,20 @@ void Machine::tmr_compare_exchange_step(std::span<const CEPair> pairs,
                                         int hop_distance, std::int64_t step) {
   FaultModel* fm = faults_;
   const bool perturbed = fm != nullptr && fm->perturbs_compute();
+  const bool comparator_faults = perturbed && fm->has_comparator_faults();
+  const bool message_faults =
+      perturbed && (fm->config().ce_drop_rate > 0 ||
+                    fm->config().key_corrupt_rate > 0);
 
   // Each pair is evaluated by three comparator replicas; the majority
   // (low, high) outcome is committed.  Replica r of pair i consumes the
   // per-message decision streams under event id i*3+r, and a
   // silently-faulty comparator at a node corrupts only that node's
   // seed-hashed replica — all pure hashes, so any thread count commits
-  // identical outcomes.
+  // identical outcomes.  A pair whose endpoints have no active
+  // comparator fault, in a phase with no message faults, has three
+  // identical replicas: it runs as one plain compare-exchange, which
+  // commits (and counts) exactly what the vote would.
   std::atomic<std::int64_t> swaps{0}, drops{0}, corruptions{0}, comp_faults{0},
       masked{0};
   auto body = [&](std::int64_t begin, std::int64_t end) {
@@ -438,6 +446,24 @@ void Machine::tmr_compare_exchange_step(std::span<const CEPair> pairs,
       const CEPair& p = pairs[static_cast<std::size_t>(i)];
       const Key in_low = keys_[static_cast<std::size_t>(p.low)];
       const Key in_high = keys_[static_cast<std::size_t>(p.high)];
+      // Each endpoint's active fault, and the replica it occupies (-1
+      // when the endpoint is healthy).
+      std::optional<ComparatorFaultKind> low_fault;
+      std::optional<ComparatorFaultKind> high_fault;
+      if (comparator_faults) {
+        low_fault = fm->comparator_fault(p.low, step);
+        high_fault = fm->comparator_fault(p.high, step);
+      }
+      if (!low_fault && !high_fault && !message_faults) {
+        if (in_low > in_high) {
+          keys_[static_cast<std::size_t>(p.low)] = in_high;
+          keys_[static_cast<std::size_t>(p.high)] = in_low;
+          ++local_swaps;
+        }
+        continue;
+      }
+      const int low_replica = low_fault ? fm->faulty_replica(p.low) : -1;
+      const int high_replica = high_fault ? fm->faulty_replica(p.high) : -1;
       Key out_low[3];
       Key out_high[3];
       bool replica_perturbed[3] = {false, false, false};
@@ -446,17 +472,15 @@ void Machine::tmr_compare_exchange_step(std::span<const CEPair> pairs,
         Key lo = in_low;
         Key hi = in_high;
         const std::int64_t ev = i * 3 + r;
+        // The low endpoint's fault wins a replica both occupy.
         std::optional<ComparatorFaultKind> cf;
         PNode cf_node = -1;
-        if (perturbed && fm->has_comparator_faults()) {
-          if (fm->faulty_replica(p.low) == r) {
-            cf = fm->comparator_fault(p.low, step);
-            cf_node = p.low;
-          }
-          if (!cf && fm->faulty_replica(p.high) == r) {
-            cf = fm->comparator_fault(p.high, step);
-            cf_node = p.high;
-          }
+        if (low_replica == r) {
+          cf = low_fault;
+          cf_node = p.low;
+        } else if (high_replica == r) {
+          cf = high_fault;
+          cf_node = p.high;
         }
         if (cf) {
           ++local_comp;
@@ -545,9 +569,11 @@ void Machine::tmr_compare_exchange_step(std::span<const CEPair> pairs,
 std::vector<Key> Machine::read_snake(const ViewSpec& view) const {
   const PNode size = view_size(*pg_, view);
   std::vector<Key> out(static_cast<std::size_t>(size));
-  for (PNode rank = 0; rank < size; ++rank)
-    out[static_cast<std::size_t>(rank)] =
-        key(view_node_at_snake_rank(*pg_, view, rank));
+  SnakeWalker walk(*pg_, view);
+  for (Key& k : out) {
+    k = key(walk.node());
+    walk.next();
+  }
   return out;
 }
 

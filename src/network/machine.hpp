@@ -58,20 +58,25 @@ class Machine {
   /// charged as compare_exchange_step would charge it — the factor's
   /// dilation in exec steps, one comparison per pair, one exchange per
   /// swap — whichever way it runs:
-  ///  * a plain machine (no observer, fault model or TMR, and no
-  ///    disjointness sweep left to run) runs it tile by tile: it gathers
-  ///    each view's N^2 keys into a buffer, runs all passes there with a
-  ///    branch-free min/max kernel, and scatters them back; an executor
-  ///    splits the views into contiguous ranges.  A line whose last even
-  ///    and odd phases swapped nothing is sorted, so the rest of its pass
-  ///    is skipped (and still charged);
+  ///  * a plain machine (no fault model or TMR, no disjointness sweep
+  ///    left to run, and no observer other than one that only counts
+  ///    phases) runs it tile by tile: it gathers each view's N^2 keys
+  ///    into a buffer, runs all passes there with a branch-free min/max
+  ///    kernel, and scatters them back; an executor splits the views
+  ///    into contiguous ranges.  A line whose last even and odd phases
+  ///    swapped nothing is sorted, so the rest of its pass is skipped
+  ///    (and still charged).  A counting observer (counts_phases_only,
+  ///    e.g. a CheckpointManager with nothing chained) gets the call's
+  ///    phase count in one after_phases callback, with the post-call
+  ///    keys;
   ///  * any other machine expands the schedule into the per-phase pair
   ///    lists — view by view, line by line, position by position — and
-  ///    issues one compare_exchange_step per phase, so observers (the
-  ///    StepAuditor, the schedule recorder, checkpoints), fault
-  ///    decisions and TMR voting see every phase as they would without
-  ///    the schedule.  There is no option for the choice; it is read
-  ///    from the machine's own state.
+  ///    issues one compare_exchange_step per phase, so key-reading
+  ///    observers (the StepAuditor, the schedule recorder, anything
+  ///    chained behind a checkpoint manager), fault decisions and TMR
+  ///    voting see every phase as they would without the schedule.
+  ///    There is no option for the choice; it is read from the
+  ///    machine's own state.
   void run_oet_schedule(const OETSchedule& schedule,
                         std::span<const ViewSpec> views,
                         const std::vector<bool>& descending);
@@ -103,7 +108,8 @@ class Machine {
   /// Attaches a phase observer (borrowed; must outlive the machine, pass
   /// nullptr to detach).  While attached it is invoked around every
   /// compare-exchange step and supersedes `set_check_disjoint` (see
-  /// run_oet_schedule for its effect on S2 schedules).
+  /// run_oet_schedule for its effect on S2 schedules, and for the one
+  /// callback per schedule an observer that only counts phases gets).
   void set_observer(PhaseObserver* observer) noexcept { observer_ = observer; }
   [[nodiscard]] PhaseObserver* observer() const noexcept { return observer_; }
 
@@ -175,7 +181,8 @@ class Machine {
                                  int hop_distance, std::int64_t step);
   /// Selects run_oet_schedule's tiled path (see there).
   [[nodiscard]] bool plain() const noexcept {
-    return observer_ == nullptr && faults_ == nullptr && !tmr_ &&
+    return (observer_ == nullptr || observer_->counts_phases_only()) &&
+           faults_ == nullptr && !tmr_ &&
            (!check_disjoint_ || statically_audited_);
   }
   void run_oet_tiled(const OETSchedule& schedule,

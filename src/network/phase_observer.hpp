@@ -7,9 +7,11 @@
 // implements this interface to verify the Section-4 phase disciplines
 // the paper's cost claims rest on; the network layer itself stays free
 // of any analysis dependency.
-// Attaching an observer also changes how Machine runs S2 schedules; see
+// Attaching an observer also changes how Machine runs S2 schedules,
+// unless it only counts phases (counts_phases_only); see
 // Machine::run_oet_schedule.
 
+#include <cstdint>
 #include <span>
 
 #include "core/multiway_merge.hpp"  // Key
@@ -58,6 +60,23 @@ class PhaseObserver {
 
   /// Called after the phase's writes are complete, with the same array.
   virtual void after_phase(std::span<const Key> keys) = 0;
+
+  /// True when this observer only counts phases: it never reads the
+  /// keys or pairs of a phase, and never needs to see the keys between
+  /// two phases.  The machine may then run a whole S2 schedule without
+  /// per-phase callbacks and report it in one after_phases call (see
+  /// Machine::run_oet_schedule).  The CheckpointManager declares this
+  /// when nothing is chained behind it.  Default: false.
+  [[nodiscard]] virtual bool counts_phases_only() const { return false; }
+
+  /// Called, instead of before_phase/after_phase for each, once `phases`
+  /// synchronous phases have run back to back; `keys` holds the keys
+  /// after the last of them.  Only issued to an observer whose
+  /// counts_phases_only() is true.  Default: ignore.
+  virtual void after_phases(std::span<const Key> keys, std::int64_t phases) {
+    (void)keys;
+    (void)phases;
+  }
 };
 
 }  // namespace prodsort

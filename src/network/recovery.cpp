@@ -177,9 +177,9 @@ CrashRecoveryReport RecoveryController::run(const SortOptions& options) {
       // implicates the whole fabric, not a nameable comparator).
       const ViewSpec view = full_view(m.graph());
       const PNode cap = std::min<PNode>(cert.dirty_hi, cert.dirty_lo + 7);
-      for (PNode rank = cert.dirty_lo; rank <= cap; ++rank)
-        report.suspect_nodes.push_back(
-            view_node_at_snake_rank(m.graph(), view, rank));
+      SnakeWalker walk(m.graph(), view, cert.dirty_lo);
+      for (PNode rank = cert.dirty_lo; rank <= cap; ++rank, walk.next())
+        report.suspect_nodes.push_back(walk.node());
     }
     if (cert.verdict == CertVerdict::kWrongOrder) {
       const int budget =

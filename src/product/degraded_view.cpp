@@ -52,8 +52,9 @@ DegradedView::DegradedView(const ProductGraph& pg, const ViewSpec& view,
   // Live ranks follow the original snake with holes skipped.
   rank_.assign(static_cast<std::size_t>(full_size_), -1);
   live_.reserve(static_cast<std::size_t>(full_size_));
-  for (PNode snake = 0; snake < full_size_; ++snake) {
-    const PNode node = view_node_at_snake_rank(pg, view, snake);
+  SnakeWalker walk(pg, view);
+  for (PNode snake = 0; snake < full_size_; ++snake, walk.next()) {
+    const PNode node = walk.node();
     const PNode local = view_local(pg, view, node);
     if (dead[static_cast<std::size_t>(local)]) continue;
     rank_[static_cast<std::size_t>(local)] = live_size();

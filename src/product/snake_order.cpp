@@ -38,6 +38,25 @@ PNode view_node_at_snake_rank(const ProductGraph& pg, const ViewSpec& v,
   return view_node(pg, v, local);
 }
 
+SnakeWalker::SnakeWalker(const ProductGraph& pg, const ViewSpec& v, PNode rank)
+    : radix_(pg.radix()), dims_(v.dims()), rank_(rank) {
+  check_view(pg, v);
+  gray_tuple(radix_, rank,
+             std::span<NodeId>(digits_.data(), static_cast<std::size_t>(dims_)));
+  PNode local = 0;
+  bool odd = false;  // parity of the digits above j
+  for (int j = dims_; j-- > 0;) {
+    const NodeId d = digits_[static_cast<std::size_t>(j)];
+    local = local * radix_ + d;
+    weights_[static_cast<std::size_t>(j)] = pg.weight(v.lo + j);
+    // Digit j sweeps upward inside an unreversed copy of Q_j, i.e. when
+    // the digits above it have even weight (gray_tuple's `reversed`).
+    if (odd) down_ |= std::uint64_t{1} << j;
+    odd ^= (d & 1) != 0;
+  }
+  node_ = view_node(pg, v, local);
+}
+
 PNode snake_rank(const ProductGraph& pg, PNode node) {
   return view_snake_rank(pg, full_view(pg), node);
 }

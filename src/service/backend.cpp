@@ -120,16 +120,15 @@ AttemptResult SortBackend::run_attempt(const JobSpec& job, int attempt,
     result.suspect_nodes.assign(report.suspect_nodes.begin(),
                                 report.suspect_nodes.end());
     result.repair_passes = report.repair_passes;
-    // When the plan skipped the fingerprint, the backend honors the
-    // trade: re-hashing the output here would re-impose the full tax
-    // the adaptive level deliberately deferred.  Any loud signal (a
-    // failed certificate, a crash) restores the audit.
-    const bool audit_checksum = !opts.has_plan || policy.cert_plan.fingerprint ||
-                                report.cert_failed || report.crashes > 0;
-    result.success =
-        report.certified &&
-        report.output.size() == static_cast<std::size_t>(n) &&
-        (!audit_checksum || multiset_checksum(report.output) == checksum);
+    // No second output hash here: `certified` already includes the
+    // controller's multiset_checksum(output) == expected_checksum test
+    // (folded into data_loss), and the controller skips that test only
+    // after a crash-free run whose passing certificate skipped the
+    // fingerprint — exactly the runs where the plan traded the
+    // fingerprint away and a loud signal (failed certificate, crash)
+    // did not restore it.
+    result.success = report.certified &&
+                     report.output.size() == static_cast<std::size_t>(n);
   } catch (const std::exception&) {
     result.success = false;  // unmodeled dead-end: charge and fail
     result.path = RecoveryPath::kFailed;

@@ -141,6 +141,37 @@ TEST(SnakeOrderTest, ViewRanksAreLocal) {
   }
 }
 
+TEST(SnakeOrderTest, WalkerMatchesPerRankDecodeFromEveryStart) {
+  // Every view (each free range lo..hi, each base) of path(2)^5 (the
+  // bit-parallel brgc decode), path(3)^4 and cycle(5)^3, walked from
+  // every start rank to the end of its snake.
+  const ProductGraph graphs[] = {ProductGraph(labeled_path(2), 5),
+                                 ProductGraph(labeled_path(3), 4),
+                                 ProductGraph(labeled_cycle(5), 3)};
+  for (const ProductGraph& pg : graphs) {
+    for (int lo = 1; lo <= pg.dims(); ++lo) {
+      for (int hi = lo; hi <= pg.dims(); ++hi) {
+        for (const ViewSpec& v : all_views(pg, lo, hi)) {
+          const PNode size = view_size(pg, v);
+          for (PNode start = 0; start < size; ++start) {
+            SnakeWalker walk(pg, v, start);
+            for (PNode rank = start; rank < size; ++rank, walk.next()) {
+              ASSERT_EQ(walk.rank(), rank);
+              ASSERT_EQ(walk.node(), view_node_at_snake_rank(pg, v, rank))
+                  << "N=" << pg.radix() << " view " << lo << ".." << hi
+                  << " base " << v.base << " start " << start;
+            }
+            // One step past the end stays on the last node.
+            EXPECT_EQ(walk.node(), view_node_at_snake_rank(pg, v, size - 1));
+          }
+          EXPECT_THROW((void)SnakeWalker(pg, v, size), std::out_of_range);
+          EXPECT_THROW((void)SnakeWalker(pg, v, -1), std::out_of_range);
+        }
+      }
+    }
+  }
+}
+
 TEST(SnakeOrderTest, HandBuiltViewSpecsAreValidated) {
   // ViewSpec is an aggregate; out-of-range free ranges must be rejected
   // before they index the weight table or overrun digit buffers.
@@ -149,6 +180,7 @@ TEST(SnakeOrderTest, HandBuiltViewSpecsAreValidated) {
                              ViewSpec{3, 2, 0}, ViewSpec{1, 80, 0}}) {
     EXPECT_THROW((void)view_snake_rank(pg, bad, 0), std::out_of_range);
     EXPECT_THROW((void)view_node_at_snake_rank(pg, bad, 0), std::out_of_range);
+    EXPECT_THROW((void)SnakeWalker(pg, bad), std::out_of_range);
   }
 }
 
