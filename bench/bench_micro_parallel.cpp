@@ -5,12 +5,16 @@
 // to the main thread's clock.  BM_SortGridThreads uses OracleS2 (the
 // executor splits its view sorts); BM_ShearsortGridThreads runs the
 // executable ShearsortS2, whose tiled schedule the executor splits into
-// contiguous ranges of views.
+// contiguous ranges of views.  BM_OetTileKernel times one ShearsortS2
+// phase over every PG_2 tile of the grid on a plain serial machine —
+// the tiled path with its dispatched lane kernel, labelled by name —
+// and reports real time per charged compare-exchange pair.
 
 #include <benchmark/benchmark.h>
 
 #include "core/product_sort.hpp"
 #include "core/s2/shearsort_s2.hpp"
+#include "network/oet_lanes.hpp"
 #include "product/snake_order.hpp"
 
 namespace {
@@ -54,6 +58,31 @@ void BM_ShearsortGridThreads(benchmark::State& state) {
 }
 BENCHMARK(BM_ShearsortGridThreads)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond)->UseRealTime();
+
+void BM_OetTileKernel(benchmark::State& state) {
+  const ProductGraph pg(labeled_path(16), 4);
+  const auto keys = keys_for(pg);
+  const std::vector<ViewSpec> views = all_views(pg, 1, 2);
+  const std::vector<bool> descending(views.size(), false);
+  const ShearsortS2 shearsort;
+  Machine m(pg, keys);
+  m.set_check_disjoint(false);  // the tiled path in every build type
+  for (auto _ : state) {
+    state.PauseTiming();
+    std::copy(keys.begin(), keys.end(), m.mutable_keys().begin());
+    state.ResumeTiming();
+    shearsort.sort_views(m, views, descending);
+    benchmark::DoNotOptimize(m.keys().data());
+    benchmark::ClobberMemory();
+  }
+  // Pairs are counted in units of 1e9, so the inverted rate reads in
+  // nanoseconds per pair.
+  state.counters["ns_per_pair"] = benchmark::Counter(
+      static_cast<double>(m.cost().comparisons) / 1e9,
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+  state.SetLabel(oet_lane_kernel().name);
+}
+BENCHMARK(BM_OetTileKernel)->Unit(benchmark::kMicrosecond)->UseRealTime();
 
 void BM_ParallelForOverhead(benchmark::State& state) {
   ParallelExecutor exec(static_cast<int>(state.range(0)));

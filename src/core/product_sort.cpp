@@ -1,5 +1,6 @@
 #include "core/product_sort.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "core/s2/oracle_s2.hpp"
@@ -96,17 +97,24 @@ std::vector<CEPair> transposition_pairs(const ProductGraph& pg, int lo, int hi,
       static_cast<PNode>(pg.radix()) * pg.radix();  // N^2 per block
   const PNode nblocks = pow_int(pg.radix(), hi - lo - 1);
 
+  // A node's offset inside its block is the same in every block.
+  std::vector<PNode> offsets(static_cast<std::size_t>(block_nodes));
+  for (PNode local = 0; local < block_nodes; ++local)
+    offsets[static_cast<std::size_t>(local)] =
+        (local % pg.radix()) * pg.weight(lo) +
+        (local / pg.radix()) * pg.weight(lo + 1);
+
+  const std::vector<ViewSpec> parents = all_views(pg, lo, hi);
+  const PNode block_pairs = std::max<PNode>(nblocks - parity, 0) / 2;
   std::vector<CEPair> pairs;
-  for (const ViewSpec& parent : all_views(pg, lo, hi)) {
+  pairs.reserve(parents.size() *
+                static_cast<std::size_t>(block_pairs * block_nodes));
+  for (const ViewSpec& parent : parents) {
     for (PNode z = parity; z + 1 < nblocks; z += 2) {
       const PNode low_base = block_base(pg, parent, z);
       const PNode high_base = block_base(pg, parent, z + 1);
-      for (PNode local = 0; local < block_nodes; ++local) {
-        const PNode offset =
-            (local % pg.radix()) * pg.weight(lo) +
-            (local / pg.radix()) * pg.weight(lo + 1);
+      for (const PNode offset : offsets)
         pairs.push_back({low_base + offset, high_base + offset});
-      }
     }
   }
   return pairs;

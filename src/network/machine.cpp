@@ -5,6 +5,7 @@
 #include <atomic>
 #include <stdexcept>
 
+#include "network/oet_lanes.hpp"
 #include "product/snake_order.hpp"
 
 namespace prodsort {
@@ -108,31 +109,50 @@ std::int64_t line_pairs(int length, int parity) {
   return (length - parity) / 2;
 }
 
-// A full odd-even transposition pass over one line held in `v`:
-// `length` phases, phase p ordering (v[i], v[i+1]) for i = p % 2,
-// p % 2 + 2, ...  Returns the swaps made.  Branch-free: the swap is a
-// masked XOR (gcc turns std::min/std::max here into a data-dependent
-// branch, which mispredicts on unsorted keys).  Once an even and an odd
-// phase in a row swap nothing the line is sorted, and the remaining
-// phases could not swap either, so they are skipped.
-std::int64_t oet_line(Key* v, int length) {
-  std::int64_t swaps = 0;
-  int quiet = 0;  // consecutive phases without a swap
-  for (int phase = 0; phase < length && quiet < 2; ++phase) {
-    std::int64_t phase_swaps = 0;
-    for (int i = phase & 1; i + 1 < length; i += 2) {
-      const Key a = v[i];
-      const Key b = v[i + 1];
-      const Key greater = a > b;
-      const Key flip = (a ^ b) & -greater;
-      phase_swaps += greater;
-      v[i] = a ^ flip;
-      v[i + 1] = b ^ flip;
-    }
-    swaps += phase_swaps;
-    quiet = phase_swaps == 0 ? quiet + 1 : 0;
+// How the tiled path runs a line family on a tile buffer (row-major,
+// N x N, indexed by tile offset).
+enum class FamilyLayout {
+  kInPlace,  // lane l holds offsets l, l + N, ...: the buffer already is
+             // its lane-major matrix (ShearsortS2's columns)
+  kLanes,    // gathered into a lane-major matrix and scattered back
+  kLines,    // fewer lines than a vector holds: one line at a time
+};
+
+FamilyLayout family_layout(const OETLines& family, NodeId n,
+                           std::size_t width) {
+  if (family.lines() < width) return FamilyLayout::kLines;
+  if (family.lines() != static_cast<std::size_t>(n))
+    return FamilyLayout::kLanes;
+  const auto length = static_cast<std::size_t>(family.length);
+  for (std::size_t l = 0; l < family.lines(); ++l) {
+    if (family.flipped[l] != 0) return FamilyLayout::kLanes;
+    for (std::size_t j = 0; j < length; ++j)
+      if (family.offsets[l * length + j] !=
+          static_cast<std::int32_t>(l + j * static_cast<std::size_t>(n)))
+        return FamilyLayout::kLanes;
   }
-  return swaps;
+  return FamilyLayout::kInPlace;
+}
+
+// Copies line `l` of `family` out of the tile buffer, position j to
+// out[j * step], complemented if the line is flipped.
+void gather_line(const OETLines& family, std::size_t l, const Key* tile,
+                 Key* out, std::size_t step) {
+  const Key mask = family.flipped[l] != 0 ? ~Key{0} : Key{0};
+  const auto length = static_cast<std::size_t>(family.length);
+  const std::int32_t* offsets = family.offsets.data() + l * length;
+  for (std::size_t j = 0; j < length; ++j)
+    out[j * step] = tile[static_cast<std::size_t>(offsets[j])] ^ mask;
+}
+
+// gather_line's inverse.
+void scatter_line(const OETLines& family, std::size_t l, const Key* in,
+                  std::size_t step, Key* tile) {
+  const Key mask = family.flipped[l] != 0 ? ~Key{0} : Key{0};
+  const auto length = static_cast<std::size_t>(family.length);
+  const std::int32_t* offsets = family.offsets.data() + l * length;
+  for (std::size_t j = 0; j < length; ++j)
+    tile[static_cast<std::size_t>(offsets[j])] = in[j * step] ^ mask;
 }
 
 }  // namespace
@@ -150,14 +170,22 @@ void Machine::run_oet_schedule(const OETSchedule& schedule,
       throw std::invalid_argument(
           "S2 schedule: every view needs exactly two free dimensions "
           "of the product");
+  std::vector<char> seen(static_cast<std::size_t>(tile));
   for (const OETLines& family : schedule.families) {
     if (family.length < 0 ||
         family.offsets.size() !=
             family.lines() * static_cast<std::size_t>(family.length))
       throw std::invalid_argument("S2 schedule: ragged line family");
-    for (const std::int32_t offset : family.offsets)
+    std::fill(seen.begin(), seen.end(), 0);
+    for (const std::int32_t offset : family.offsets) {
       if (offset < 0 || offset >= tile)
         throw std::invalid_argument("S2 schedule: offset outside the tile");
+      // Both execution paths run a family's lines side by side.
+      if (seen[static_cast<std::size_t>(offset)] != 0)
+        throw std::invalid_argument(
+            "S2 schedule: lines of a family overlap");
+      seen[static_cast<std::size_t>(offset)] = 1;
+    }
   }
   for (const int pass : schedule.passes)
     if (pass < 0 || static_cast<std::size_t>(pass) >= schedule.families.size())
@@ -172,46 +200,67 @@ void Machine::run_oet_schedule(const OETSchedule& schedule,
 void Machine::run_oet_tiled(const OETSchedule& schedule,
                             std::span<const ViewSpec> views,
                             const std::vector<bool>& descending) {
-  const auto tile = static_cast<std::size_t>(pg_->radix()) *
-                    static_cast<std::size_t>(pg_->radix());
+  const NodeId n = pg_->radix();
+  const auto tile = static_cast<std::size_t>(n) * static_cast<std::size_t>(n);
+  const OETLaneKernel& kernel = oet_lane_kernel();
+  std::vector<FamilyLayout> layouts;
+  std::size_t matrix_size = 0;
   int longest = 0;
-  for (const OETLines& family : schedule.families)
-    longest = std::max(longest, family.length);
+  for (const OETLines& family : schedule.families) {
+    layouts.push_back(family_layout(family, n, kernel.width));
+    if (layouts.back() == FamilyLayout::kLanes)
+      matrix_size = std::max(matrix_size, family.offsets.size());
+    if (layouts.back() == FamilyLayout::kLines)
+      longest = std::max(longest, family.length);
+  }
 
   // Views are disjoint, so each one runs its whole schedule on its own
   // tile; the swap total is a sum, identical for any split of the views.
+  // Complementing reverses the key order, so a descending view — or a
+  // flipped line — runs through the ascending kernels and swaps exactly
+  // where its inverted pairs would.
   std::atomic<std::int64_t> swaps{0};
   auto body = [&](std::int64_t begin, std::int64_t end) {
     std::vector<Key> buffer(tile);
+    std::vector<Key> matrix(matrix_size);
     std::vector<Key> line(static_cast<std::size_t>(longest));
     std::int64_t local_swaps = 0;
     for (std::int64_t vi = begin; vi < end; ++vi) {
       const ViewSpec& v = views[static_cast<std::size_t>(vi)];
       const PNode stride = pg_->weight(v.lo);
       Key* const keys = keys_.data() + v.base;
+      const Key view_mask =
+          descending[static_cast<std::size_t>(vi)] ? ~Key{0} : Key{0};
       for (std::size_t o = 0; o < tile; ++o)
-        buffer[o] = keys[static_cast<PNode>(o) * stride];
-      const bool flip = descending[static_cast<std::size_t>(vi)];
+        buffer[o] = keys[static_cast<PNode>(o) * stride] ^ view_mask;
       for (const int pass : schedule.passes) {
-        const OETLines& family =
-            schedule.families[static_cast<std::size_t>(pass)];
-        const auto length = static_cast<std::size_t>(family.length);
-        for (std::size_t l = 0; l < family.lines(); ++l) {
-          // Complementing reverses the key order, so a descending line
-          // runs through the ascending kernel and swaps exactly where
-          // its inverted pairs would.
-          const Key mask =
-              ((family.flipped[l] != 0) != flip) ? ~Key{0} : Key{0};
-          const std::int32_t* offsets = family.offsets.data() + l * length;
-          for (std::size_t j = 0; j < length; ++j)
-            line[j] = buffer[static_cast<std::size_t>(offsets[j])] ^ mask;
-          local_swaps += oet_line(line.data(), family.length);
-          for (std::size_t j = 0; j < length; ++j)
-            buffer[static_cast<std::size_t>(offsets[j])] = line[j] ^ mask;
+        const auto f = static_cast<std::size_t>(pass);
+        const OETLines& family = schedule.families[f];
+        const std::size_t lines = family.lines();
+        switch (layouts[f]) {
+          case FamilyLayout::kInPlace:
+            local_swaps += kernel.run(buffer.data(), family.length, lines,
+                                      static_cast<std::size_t>(n));
+            break;
+          case FamilyLayout::kLanes:
+            for (std::size_t l = 0; l < lines; ++l)
+              gather_line(family, l, buffer.data(), matrix.data() + l, lines);
+            local_swaps +=
+                kernel.run(matrix.data(), family.length, lines, lines);
+            for (std::size_t l = 0; l < lines; ++l)
+              scatter_line(family, l, matrix.data() + l, lines, buffer.data());
+            break;
+          case FamilyLayout::kLines:
+            for (std::size_t l = 0; l < lines; ++l) {
+              gather_line(family, l, buffer.data(), line.data(), 1);
+              local_swaps += oet_line(line.data(), family.length);
+              scatter_line(family, l, line.data(), 1, buffer.data());
+            }
+            break;
         }
       }
       for (std::size_t o = 0; o < tile; ++o)
-        keys[static_cast<PNode>(o) * stride] = buffer[o];
+        keys[static_cast<PNode>(o) * stride] = buffer[o] ^ view_mask;
     }
     swaps.fetch_add(local_swaps, std::memory_order_relaxed);
   };

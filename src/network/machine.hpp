@@ -52,7 +52,8 @@ class Machine {
 
   /// Runs `schedule` (network/oet_schedule.hpp) in every view, in
   /// lockstep; `descending[i]` inverts view i.  Each view must have
-  /// exactly two free dimensions and `descending` one flag per view
+  /// exactly two free dimensions, `descending` one flag per view, and
+  /// no two positions of one line family may share a tile offset
   /// (std::invalid_argument otherwise); views must be disjoint (checked
   /// only by the per-phase path's disjointness sweep).  Every phase is
   /// charged as compare_exchange_step would charge it — the factor's
@@ -61,14 +62,24 @@ class Machine {
   ///  * a plain machine (no fault model or TMR, no disjointness sweep
   ///    left to run, and no observer other than one that only counts
   ///    phases) runs it tile by tile: it gathers each view's N^2 keys
-  ///    into a buffer, runs all passes there with a branch-free min/max
-  ///    kernel, and scatters them back; an executor splits the views
-  ///    into contiguous ranges.  A line whose last even and odd phases
-  ///    swapped nothing is sorted, so the rest of its pass is skipped
-  ///    (and still charged).  A counting observer (counts_phases_only,
-  ///    e.g. a CheckpointManager with nothing chained) gets the call's
-  ///    phase count in one after_phases callback, with the post-call
-  ///    keys;
+  ///    into a buffer (complemented once if the view descends), runs
+  ///    all passes there, and scatters them back; an executor splits
+  ///    the views into contiguous ranges.  The lines of a pass are
+  ///    independent lanes of one network, so a pass runs lane-major
+  ///    through the lane kernel (network/oet_lanes.hpp): each phase is
+  ///    a min/max of one row of positions against the next across all
+  ///    lines.  A family whose lines are the tile's columns, none
+  ///    flipped (ShearsortS2's columns), runs in place on the buffer;
+  ///    any other family goes through one masked transposed gather and
+  ///    scatter (flipped lines complemented); a family with fewer lines
+  ///    than the kernel's vector holds (SnakeOETS2's snake) runs line
+  ///    by line through the scalar kernel.  The kernel's ISA variant
+  ///    (AVX-512F, AVX2 or the portable baseline) is picked once, at
+  ///    run time, from the CPU.  A pass ends once an even and an odd
+  ///    phase in a row swap nothing (the rest is still charged).  A
+  ///    counting observer (counts_phases_only, e.g. a CheckpointManager
+  ///    with nothing chained) gets the call's phase count in one
+  ///    after_phases callback, with the post-call keys;
   ///  * any other machine expands the schedule into the per-phase pair
   ///    lists — view by view, line by line, position by position — and
   ///    issues one compare_exchange_step per phase, so key-reading

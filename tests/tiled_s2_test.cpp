@@ -5,7 +5,10 @@
 // keys twice — once on a plain machine (the tiled path, serial and on a
 // 4-thread executor) and once with a no-op passive observer attached
 // (the per-phase reference) — and demands bit-identical keys and
-// identical CostModel counters.
+// identical CostModel counters.  The benchmark's input families
+// (perfbench/src/inputs.cpp, compiled in read-only) run on the
+// benchmark's own grid, and one 4 x 4 tile is swept over every 0-1
+// input.
 
 #include <gtest/gtest.h>
 
@@ -16,6 +19,7 @@
 #include "core/product_sort.hpp"
 #include "core/s2/shearsort_s2.hpp"
 #include "core/s2/snake_oet_s2.hpp"
+#include "inputs.hpp"
 
 namespace prodsort {
 namespace {
@@ -246,6 +250,130 @@ TEST(TiledS2Test, RejectsMalformedSchedules) {
   schedule.passes = {1};  // no such family
   EXPECT_THROW(m.run_oet_schedule(schedule, views, ascending),
                std::invalid_argument);
+
+  // Two lines of one family share tile offset 1.
+  schedule.families[0].offsets = {0, 1, 1, 2};
+  schedule.families[0].flipped = {0, 0};
+  schedule.passes = {0};
+  EXPECT_THROW(m.run_oet_schedule(schedule, views, ascending),
+               std::invalid_argument);
+  // ... and one line repeats an offset.
+  schedule.families[0].offsets = {4, 4};
+  schedule.families[0].flipped = {0};
+  EXPECT_THROW(m.run_oet_schedule(schedule, views, ascending),
+               std::invalid_argument);
+}
+
+TEST(TiledS2Test, HandBuiltFamiliesMatchPerPhaseReference) {
+  // Families of every shape the tiled path distinguishes, on 6 x 6
+  // tiles: the columns (run in place), the columns with every other
+  // line flipped and four of the six rows (gathered into lanes), and
+  // two short lines (fewer than a vector: run line by line).
+  const ProductGraph pg(labeled_path(6), 3);
+  const NodeId n = pg.radix();
+  OETSchedule schedule;
+  OETLines columns;
+  OETLines flipped_columns;
+  OETLines some_rows;
+  OETLines short_lines;
+  columns.length = flipped_columns.length = some_rows.length = n;
+  for (NodeId c = 0; c < n; ++c) {
+    for (NodeId j = 0; j < n; ++j) {
+      columns.offsets.push_back(c + j * n);
+      flipped_columns.offsets.push_back(c + j * n);
+    }
+    columns.flipped.push_back(0);
+    flipped_columns.flipped.push_back(c % 2);
+  }
+  for (NodeId r = 1; r < 5; ++r) {
+    for (NodeId j = 0; j < n; ++j) some_rows.offsets.push_back(j + r * n);
+    some_rows.flipped.push_back(r % 2);
+  }
+  short_lines.length = 3;
+  short_lines.offsets = {0, 7, 14, 35, 28, 21};  // two diagonals
+  short_lines.flipped = {0, 1};
+  schedule.families = {columns, flipped_columns, some_rows, short_lines};
+  schedule.passes = {0, 2, 1, 3, 2, 0, 3, 1};
+
+  const std::vector<ViewSpec> views = all_views(pg, 1, 2);
+  std::vector<bool> descending;
+  for (std::size_t i = 0; i < views.size(); ++i)
+    descending.push_back(i % 2 == 1);
+  for (const PatternSpec& pattern : kPatterns) {
+    const std::vector<Key> keys =
+        make_keys(pattern.pattern, pg.num_nodes(), 29);
+    NoOpObserver observer;
+    Machine reference(pg, keys);
+    reference.set_observer(&observer);
+    reference.run_oet_schedule(schedule, views, descending);
+    Machine tiled(pg, keys);
+    tiled.set_check_disjoint(false);
+    tiled.run_oet_schedule(schedule, views, descending);
+    expect_same_run(tiled, reference, pattern.name);
+  }
+}
+
+TEST(TiledS2Test, BenchmarkFamiliesOnTheBenchmarkGrid) {
+  // The grid workload's sort: path(16)^4 with ShearsortS2, on every
+  // input family the benchmark draws, the frozen McIlroy adversary
+  // included.
+  const ProductGraph pg(labeled_path(16), 4);
+  const ShearsortS2 shearsort;
+  SortOptions options;
+  options.s2 = &shearsort;
+  ParallelExecutor four(4);
+  for (int f = 0; f < perfbench::kFamilyCount; ++f) {
+    const perfbench::Family family = perfbench::family_at(f);
+    const std::vector<Key> keys = perfbench::make_keys(
+        family, static_cast<std::size_t>(pg.num_nodes()), 731);
+    NoOpObserver observer;
+    Machine reference(pg, keys);
+    reference.set_observer(&observer);
+    (void)sort_product_network(reference, options);
+    std::vector<Key> sorted = keys;
+    std::sort(sorted.begin(), sorted.end());
+    ASSERT_EQ(reference.read_snake(full_view(pg)), sorted)
+        << perfbench::family_name(family);
+    for (ParallelExecutor* executor :
+         {static_cast<ParallelExecutor*>(nullptr), &four}) {
+      Machine tiled(pg, keys, executor);
+      tiled.set_check_disjoint(false);
+      (void)sort_product_network(tiled, options);
+      expect_same_run(tiled, reference,
+                      std::string(perfbench::family_name(family)) +
+                          (executor ? " / 4 threads" : " / serial"));
+    }
+  }
+}
+
+TEST(TiledS2Test, EveryZeroOneInputOfOneShearsortTile) {
+  // All 2^16 0-1 inputs of one 4 x 4 tile, sorted ascending and
+  // descending: keys and exchanges must match the per-phase reference.
+  const ProductGraph pg(labeled_path(4), 2);
+  const ViewSpec views[] = {full_view(pg)};
+  const ShearsortS2 shearsort;
+  std::vector<Key> keys(16);
+  for (const bool desc : {false, true}) {
+    const std::vector<bool> descending{desc};
+    for (std::uint32_t input = 0; input < (1u << 16); ++input) {
+      for (std::size_t i = 0; i < keys.size(); ++i)
+        keys[i] = static_cast<Key>((input >> i) & 1u);
+      NoOpObserver observer;
+      Machine reference(pg, keys);
+      reference.set_observer(&observer);
+      shearsort.sort_views(reference, views, descending);
+      Machine tiled(pg, keys);
+      tiled.set_check_disjoint(false);
+      shearsort.sort_views(tiled, views, descending);
+      ASSERT_TRUE(std::equal(tiled.keys().begin(), tiled.keys().end(),
+                             reference.keys().begin(),
+                             reference.keys().end()))
+          << "input " << input << (desc ? " descending" : " ascending");
+      ASSERT_EQ(tiled.cost().exchanges, reference.cost().exchanges)
+          << "input " << input << (desc ? " descending" : " ascending");
+      ASSERT_TRUE(reference.snake_sorted(views[0], desc)) << input;
+    }
+  }
 }
 
 }  // namespace
