@@ -9,11 +9,18 @@
 // phase over every PG_2 tile of the grid on a plain serial machine —
 // the tiled path with its dispatched lane kernel, labelled by name —
 // and reports real time per charged compare-exchange pair.
+// BM_SortAttempt times one SortBackend::run_attempt on a path(4)^3
+// SnakeOETS2 backend — the sort service's job shape, 64 keys — plain
+// (arg 0) and with a permanently inverted comparator that only the
+// certificate and its repair loop catch (arg 1), in real microseconds
+// per attempt.
 
 #include <benchmark/benchmark.h>
 
 #include "core/product_sort.hpp"
 #include "core/s2/shearsort_s2.hpp"
+#include "core/s2/snake_oet_s2.hpp"
+#include "service/backend.hpp"
 #include "network/oet_lanes.hpp"
 #include "product/snake_order.hpp"
 
@@ -83,6 +90,31 @@ void BM_OetTileKernel(benchmark::State& state) {
   state.SetLabel(oet_lane_kernel().name);
 }
 BENCHMARK(BM_OetTileKernel)->Unit(benchmark::kMicrosecond)->UseRealTime();
+
+void BM_SortAttempt(benchmark::State& state) {
+  const ProductGraph pg(labeled_path(4), 3);
+  const SnakeOETS2 snake_oet;
+  BackendConfig config;
+  if (state.range(0) != 0) config.fault_schedule = "seed=5,comparators=17@0I";
+  SortBackend backend(pg, 0, config, &snake_oet, nullptr, BreakerConfig{});
+  std::uint64_t seed = 88172645463325252ull;
+  std::int64_t failed = 0;
+  for (auto _ : state) {
+    JobSpec job;
+    job.key_seed = seed++;
+    job.pattern = static_cast<int>(seed % 5);
+    const AttemptResult result = backend.run_attempt(job, 1, 0);
+    failed += result.success ? 0 : 1;
+    benchmark::DoNotOptimize(result.steps);
+  }
+  // A faulted attempt may exhaust its repair budget; the service retries
+  // it, so the share is reported, not an error.
+  state.counters["failed_share"] = benchmark::Counter(
+      static_cast<double>(failed), benchmark::Counter::kAvgIterations);
+  state.SetLabel(state.range(0) != 0 ? "comparator-faulted" : "plain");
+}
+BENCHMARK(BM_SortAttempt)->Arg(0)->Arg(1)
+    ->Unit(benchmark::kMicrosecond)->UseRealTime();
 
 void BM_ParallelForOverhead(benchmark::State& state) {
   ParallelExecutor exec(static_cast<int>(state.range(0)));

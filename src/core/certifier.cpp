@@ -209,19 +209,10 @@ EndToEndCertificate Certifier::certify(std::span<const Key> seq) const {
         static_cast<PNode>(first.load(std::memory_order_relaxed));
     // The Lemma 1 dirty window — smallest rank interval disagreeing
     // with its own sorted copy — guides repair; computed only on the
-    // failure path (it needs an O(n log n) reference sort).
-    std::vector<Key> sorted(seq.begin(), seq.end());
-    std::sort(sorted.begin(), sorted.end());
-    PNode lo = -1;
-    PNode hi = -1;
-    for (std::size_t i = 0; i < seq.size(); ++i) {
-      if (seq[i] != sorted[i]) {
-        if (lo < 0) lo = static_cast<PNode>(i);
-        hi = static_cast<PNode>(i);
-      }
-    }
-    cert.dirty_lo = lo;
-    cert.dirty_hi = hi;
+    // failure path.
+    const DirtyWindow window = dirty_window(seq);
+    cert.dirty_lo = window.lo;
+    cert.dirty_hi = window.hi;
   }
 
   if (cert.observed != cert.expected)
@@ -285,18 +276,9 @@ EndToEndCertificate Certifier::certify_sampled(std::span<const Key> seq,
     // The dirty window stays the *exact* sorted-copy diff even when the
     // scan that caught the inversion was sampled, so escalation and
     // repair always work from the true window.
-    std::vector<Key> sorted(seq.begin(), seq.end());
-    std::sort(sorted.begin(), sorted.end());
-    PNode lo = -1;
-    PNode hi = -1;
-    for (std::size_t i = 0; i < seq.size(); ++i) {
-      if (seq[i] != sorted[i]) {
-        if (lo < 0) lo = static_cast<PNode>(i);
-        hi = static_cast<PNode>(i);
-      }
-    }
-    cert.dirty_lo = lo;
-    cert.dirty_hi = hi;
+    const DirtyWindow window = dirty_window(seq);
+    cert.dirty_lo = window.lo;
+    cert.dirty_hi = window.hi;
   }
 
   if (cert.observed != cert.expected)

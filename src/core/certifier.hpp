@@ -211,9 +211,9 @@ class Certifier {
     return expected_;
   }
 
-  /// Certifies an explicit sequence.  O(n) when the sequence passes;
-  /// the dirty window (a sorted-copy diff) is computed only on a
-  /// wrong-order failure.
+  /// Certifies an explicit sequence in O(n); the dirty window (the
+  /// sorted-copy diff, core/verify.hpp's dirty_window) is computed only
+  /// on a wrong-order failure.
   [[nodiscard]] EndToEndCertificate certify(std::span<const Key> seq) const;
 
   /// Certifies the snake read-out of `view`.

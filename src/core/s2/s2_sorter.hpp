@@ -19,12 +19,21 @@
 //
 // A sorter operates on *many* disjoint 2-D views at once, in lockstep,
 // because the enclosing algorithm runs them as one parallel phase: the
-// executed step time is that of a single view.  The two executable
-// odd-even sorters describe their phases once, in view-local tile
-// coordinates (network/oet_schedule.hpp), and hand that descriptor to
-// Machine::run_oet_schedule, which chooses how to execute it.
+// executed step time is that of a single view.
+//
+// A sorter has one way to say what it runs: oet_schedule(N), its
+// compare-exchange schedule in view-local tile coordinates
+// (network/oet_schedule.hpp), or nothing.  The two executable odd-even
+// sorters describe theirs; a compiled sort plan (core/sort_plan.hpp)
+// checks it once per (topology, sorter) and runs every S2 phase of
+// every sort from it through Machine::run_oet_schedule, never calling
+// sort_views.  A sorter that describes nothing — OracleS2, NetworkS2,
+// or a wrapper such as a timing shim — is run through sort_views, once
+// per S2 phase.  sort_views stays the way to sort views directly; the
+// two odd-even sorters implement it by running their own schedule.
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -41,6 +50,15 @@ class S2Sorter {
   /// Analytic time of one S2 phase, charged to CostModel::formula_time.
   [[nodiscard]] virtual double phase_cost(const LabeledFactor& factor) const {
     return factor.s2_cost;
+  }
+
+  /// The sorter's schedule on an N x N tile (one view), identical in
+  /// every view of every phase, or nullopt when the sorter does not
+  /// describe one.  Default: nullopt.
+  [[nodiscard]] virtual std::optional<OETSchedule> oet_schedule(
+      NodeId n) const {
+    (void)n;
+    return std::nullopt;
   }
 
   /// Sorts every view (each with exactly two free dimensions) into its

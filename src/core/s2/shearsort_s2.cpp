@@ -18,10 +18,7 @@ double ShearsortS2::phase_cost(const LabeledFactor& factor) const {
          n * factor.dilation;
 }
 
-void ShearsortS2::sort_views(Machine& machine, std::span<const ViewSpec> views,
-                             const std::vector<bool>& descending) const {
-  const ProductGraph& pg = machine.graph();
-  const NodeId n = pg.radix();
+std::optional<OETSchedule> ShearsortS2::oet_schedule(NodeId n) const {
   OETSchedule schedule;
   // Row f holds tile offsets j + f*N (fixed digit at the high free
   // dimension); column f holds f + j*N.  Snake: even rows ascend, odd
@@ -43,7 +40,13 @@ void ShearsortS2::sort_views(Machine& machine, std::span<const ViewSpec> views,
   for (int it = 0; it <= ceil_log2(n); ++it)
     schedule.passes.insert(schedule.passes.end(), {0, 1});
   schedule.passes.push_back(0);
-  machine.run_oet_schedule(schedule, views, descending);
+  return schedule;
+}
+
+void ShearsortS2::sort_views(Machine& machine, std::span<const ViewSpec> views,
+                             const std::vector<bool>& descending) const {
+  machine.run_oet_schedule(*oet_schedule(machine.graph().radix()), views,
+                           descending);
 }
 
 }  // namespace prodsort

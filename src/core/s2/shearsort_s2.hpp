@@ -23,6 +23,10 @@ class ShearsortS2 final : public S2Sorter {
   /// dilation hops each.
   [[nodiscard]] double phase_cost(const LabeledFactor& factor) const override;
 
+  [[nodiscard]] std::optional<OETSchedule> oet_schedule(
+      NodeId n) const override;
+
+  /// Runs oet_schedule(N) through Machine::run_oet_schedule.
   void sort_views(Machine& machine, std::span<const ViewSpec> views,
                   const std::vector<bool>& descending) const override;
 };

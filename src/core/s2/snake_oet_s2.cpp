@@ -4,10 +4,7 @@
 
 namespace prodsort {
 
-void SnakeOETS2::sort_views(Machine& machine, std::span<const ViewSpec> views,
-                            const std::vector<bool>& descending) const {
-  const ProductGraph& pg = machine.graph();
-  const NodeId n = pg.radix();
+std::optional<OETSchedule> SnakeOETS2::oet_schedule(NodeId n) const {
   // Consecutive snake ranks differ in one digit by +-1 (the Gray-code
   // property), so partners are at most `dilation` hops apart.
   OETSchedule schedule;
@@ -21,7 +18,13 @@ void SnakeOETS2::sort_views(Machine& machine, std::span<const ViewSpec> views,
   snake.flipped.push_back(0);
   schedule.families.push_back(std::move(snake));
   schedule.passes.push_back(0);
-  machine.run_oet_schedule(schedule, views, descending);
+  return schedule;
+}
+
+void SnakeOETS2::sort_views(Machine& machine, std::span<const ViewSpec> views,
+                            const std::vector<bool>& descending) const {
+  machine.run_oet_schedule(*oet_schedule(machine.graph().radix()), views,
+                           descending);
 }
 
 }  // namespace prodsort

@@ -20,6 +20,10 @@ class SnakeOETS2 final : public S2Sorter {
     return n * n * factor.dilation;
   }
 
+  [[nodiscard]] std::optional<OETSchedule> oet_schedule(
+      NodeId n) const override;
+
+  /// Runs oet_schedule(N) through Machine::run_oet_schedule.
   void sort_views(Machine& machine, std::span<const ViewSpec> views,
                   const std::vector<bool>& descending) const override;
 };

@@ -47,24 +47,39 @@ std::uint64_t multiset_checksum(std::span<const Key> keys) {
   return mix64(mix64(sum, xr), static_cast<std::uint64_t>(keys.size()));
 }
 
+DirtyWindow dirty_window(std::span<const Key> seq) {
+  // [0, run) and [tail, n) are the longest non-decreasing prefix and
+  // suffix.  A prefix [0, L) with L <= run agrees with the sorted copy
+  // iff its last key is <= every later key, i.e. <= the minimum of
+  // [run, n) (the keys between L and run are at least its last one): so
+  // the agreeing prefix is the part of [0, run) that is <= that minimum.
+  // Symmetrically, the agreeing suffix is the part of [tail, n) that is
+  // >= the maximum of [0, tail).
+  const std::size_t n = seq.size();
+  std::size_t run = 1;
+  while (run < n && seq[run - 1] <= seq[run]) ++run;
+  if (run >= n) return {};
+  std::size_t tail = n - 1;
+  while (seq[tail - 1] <= seq[tail]) --tail;
+  const auto first = seq.begin();
+  const auto run_end = first + static_cast<std::ptrdiff_t>(run);
+  const auto tail_begin = first + static_cast<std::ptrdiff_t>(tail);
+  const Key rest_min = *std::min_element(run_end, seq.end());
+  const Key head_max = *std::max_element(first, tail_begin);
+  const auto lo = std::upper_bound(first, run_end, rest_min);
+  const auto hi = std::lower_bound(tail_begin, seq.end(), head_max);
+  return {static_cast<PNode>(lo - first), static_cast<PNode>(hi - first) - 1};
+}
+
 SortCertificate certify_sequence(std::span<const Key> seq) {
   SortCertificate cert;
   cert.checksum = multiset_checksum(seq);
 
-  std::vector<Key> sorted(seq.begin(), seq.end());
-  std::sort(sorted.begin(), sorted.end());
-  PNode lo = -1;
-  PNode hi = -1;
-  for (std::size_t i = 0; i < seq.size(); ++i) {
-    if (seq[i] != sorted[i]) {
-      if (lo < 0) lo = static_cast<PNode>(i);
-      hi = static_cast<PNode>(i);
-    }
-  }
-  cert.sorted = lo < 0;
+  const DirtyWindow window = dirty_window(seq);
+  cert.sorted = window.lo < 0;
   if (cert.sorted) return cert;
-  cert.dirty_lo = lo;
-  cert.dirty_hi = hi;
+  cert.dirty_lo = window.lo;
+  cert.dirty_hi = window.hi;
   for (std::size_t i = 0; i + 1 < seq.size(); ++i) {
     if (seq[i] > seq[i + 1]) {
       cert.first_violation = static_cast<PNode>(i);

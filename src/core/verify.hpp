@@ -60,11 +60,22 @@ struct SortCertificate {
 std::int64_t oet_window_pass(Machine& machine, const ViewSpec& view, PNode lo,
                              PNode hi, int parity);
 
+/// The Lemma 1 dirty window of `seq`: the first and last ranks at which
+/// it differs from its own sorted copy, or {-1, -1} when it is sorted.
+/// O(n), sorting and allocating nothing: the prefix [0, L) agrees with
+/// the sorted copy exactly when it is non-decreasing and its last key is
+/// <= the minimum of the rest, and symmetrically for a suffix.
+struct DirtyWindow {
+  PNode lo = -1;
+  PNode hi = -1;
+};
+[[nodiscard]] DirtyWindow dirty_window(std::span<const Key> seq);
+
 /// Certifies an explicit sequence (the core of certify_snake, exposed
 /// for degraded-topology and host-side sequences).
 [[nodiscard]] SortCertificate certify_sequence(std::span<const Key> seq);
 
-/// Certifies the snake order of `view`: O(n log n) over the view size.
+/// Certifies the snake order of `view`: O(n) over the view size.
 [[nodiscard]] SortCertificate certify_snake(const Machine& machine,
                                             const ViewSpec& view);
 

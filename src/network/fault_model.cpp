@@ -394,7 +394,9 @@ std::string FaultModel::schedule_string() const {
     for (std::size_t i = 0; i < config_.crash_schedule.size(); ++i) {
       const CrashEvent& c = config_.crash_schedule[i];
       if (i != 0) out += '+';
-      out += std::to_string(c.node) + "@" + std::to_string(c.phase);
+      out += std::to_string(c.node);
+      out += '@';
+      out += std::to_string(c.phase);
       if (c.permanent) out += 'P';
     }
   }
@@ -403,8 +405,13 @@ std::string FaultModel::schedule_string() const {
     for (std::size_t i = 0; i < config_.comparator_schedule.size(); ++i) {
       const ComparatorFault& f = config_.comparator_schedule[i];
       if (i != 0) out += '+';
-      out += std::to_string(f.node) + "@" + std::to_string(f.from_phase);
-      if (f.until_phase != -1) out += "~" + std::to_string(f.until_phase);
+      out += std::to_string(f.node);
+      out += '@';
+      out += std::to_string(f.from_phase);
+      if (f.until_phase != -1) {
+        out += '~';
+        out += std::to_string(f.until_phase);
+      }
       out += comparator_kind_char(f.kind);
       if (f.burst > 1) {
         out += 'x';
@@ -417,7 +424,9 @@ std::string FaultModel::schedule_string() const {
     for (std::size_t i = 0; i < config_.outage_schedule.size(); ++i) {
       const OutageWindow& w = config_.outage_schedule[i];
       if (i != 0) out += '+';
-      out += std::to_string(w.from) + "~" + std::to_string(w.until);
+      out += std::to_string(w.from);
+      out += '~';
+      out += std::to_string(w.until);
     }
   }
   if (!config_.burst_schedule.empty()) {
@@ -425,7 +434,9 @@ std::string FaultModel::schedule_string() const {
     for (std::size_t i = 0; i < config_.burst_schedule.size(); ++i) {
       const CrashBurst& b = config_.burst_schedule[i];
       if (i != 0) out += '+';
-      out += std::to_string(b.count) + "@" + std::to_string(b.phase);
+      out += std::to_string(b.count);
+      out += '@';
+      out += std::to_string(b.phase);
       if (b.permanent) out += 'P';
     }
   }

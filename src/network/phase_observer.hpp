@@ -65,8 +65,10 @@ class PhaseObserver {
   /// keys or pairs of a phase, and never needs to see the keys between
   /// two phases.  The machine may then run a whole S2 schedule without
   /// per-phase callbacks and report it in one after_phases call (see
-  /// Machine::run_oet_schedule).  The CheckpointManager declares this
-  /// when nothing is chained behind it.  Default: false.
+  /// Machine::run_oet_schedule), and may hand it a phase whose pair
+  /// list it never built as an empty `pairs` span
+  /// (Machine::compare_exchange_blocks).  The CheckpointManager declares
+  /// this when nothing is chained behind it.  Default: false.
   [[nodiscard]] virtual bool counts_phases_only() const { return false; }
 
   /// Called, instead of before_phase/after_phase for each, once `phases`
