@@ -266,9 +266,10 @@ TEST(TiledS2Test, RejectsMalformedSchedules) {
 
 TEST(TiledS2Test, HandBuiltFamiliesMatchPerPhaseReference) {
   // Families of every shape the tiled path distinguishes, on 6 x 6
-  // tiles: the columns (run in place), the columns with every other
-  // line flipped and four of the six rows (gathered into lanes), and
-  // two short lines (fewer than a vector: run line by line).
+  // tiles: the columns (run in place), and the columns with every other
+  // line flipped, four of the six rows and two short lines (gathered
+  // into lanes).  A schedule of short lines alone is thinner than a
+  // vector, so several views' lines run as the lanes of one matrix.
   const ProductGraph pg(labeled_path(6), 3);
   const NodeId n = pg.radix();
   OETSchedule schedule;
@@ -292,24 +293,34 @@ TEST(TiledS2Test, HandBuiltFamiliesMatchPerPhaseReference) {
   short_lines.length = 3;
   short_lines.offsets = {0, 7, 14, 35, 28, 21};  // two diagonals
   short_lines.flipped = {0, 1};
+  OETLines anti_diagonal;
+  anti_diagonal.length = n;
+  for (NodeId j = 0; j < n; ++j)
+    anti_diagonal.offsets.push_back((n - 1) * (j + 1));
+  anti_diagonal.flipped = {1};
   schedule.families = {columns, flipped_columns, some_rows, short_lines};
   schedule.passes = {0, 2, 1, 3, 2, 0, 3, 1};
+  OETSchedule thin;
+  thin.families = {short_lines, anti_diagonal};
+  thin.passes = {0, 1, 1, 0};
 
   const std::vector<ViewSpec> views = all_views(pg, 1, 2);
   std::vector<bool> descending;
   for (std::size_t i = 0; i < views.size(); ++i)
     descending.push_back(i % 2 == 1);
-  for (const PatternSpec& pattern : kPatterns) {
-    const std::vector<Key> keys =
-        make_keys(pattern.pattern, pg.num_nodes(), 29);
-    NoOpObserver observer;
-    Machine reference(pg, keys);
-    reference.set_observer(&observer);
-    reference.run_oet_schedule(schedule, views, descending);
-    Machine tiled(pg, keys);
-    tiled.set_check_disjoint(false);
-    tiled.run_oet_schedule(schedule, views, descending);
-    expect_same_run(tiled, reference, pattern.name);
+  for (const OETSchedule* s : {&schedule, &thin}) {
+    for (const PatternSpec& pattern : kPatterns) {
+      const std::vector<Key> keys =
+          make_keys(pattern.pattern, pg.num_nodes(), 29);
+      NoOpObserver observer;
+      Machine reference(pg, keys);
+      reference.set_observer(&observer);
+      reference.run_oet_schedule(*s, views, descending);
+      Machine tiled(pg, keys);
+      tiled.set_check_disjoint(false);
+      tiled.run_oet_schedule(*s, views, descending);
+      expect_same_run(tiled, reference, pattern.name);
+    }
   }
 }
 
